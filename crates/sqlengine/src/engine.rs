@@ -337,8 +337,9 @@ impl Clone for Database {
         // A clone is an *independent* database (serial references,
         // experiment restarts): the plan cache is deep-copied into a fresh
         // handle and the footprint cache starts cold, exactly as before the
-        // caches moved behind `Arc`s. Table storage itself is Arc-backed
-        // copy-on-write, so the row data is shared until first mutation.
+        // caches moved behind `Arc`s. Table storage itself is chunked
+        // copy-on-write, so row data is shared until a mutation copies the
+        // chunk and index partitions it touches.
         Database {
             tables: self.tables.clone(),
             plans: Arc::new((*self.plans).clone()),
@@ -352,8 +353,11 @@ impl Clone for Database {
 /// [`Database::snapshot`].
 ///
 /// Taking a snapshot is cheap — the table catalog is cloned but every
-/// table's row storage and indexes are `Arc`-shared copy-on-write, so the
-/// cost is reference-count bumps, not data copies. The snapshot **shares
+/// table's row chunks and index partitions are `Arc`-shared
+/// copy-on-write, so the cost is reference-count bumps, not data copies.
+/// The live database's next write copies only what it touches — one row
+/// chunk and one partition per affected index — not the table (see
+/// [`crate::table::Table`]). The snapshot **shares
 /// the live database's plan cache and footprint cache** (both are
 /// interior-mutexed behind `Arc`s): a plan warmed through a snapshot read
 /// is warm for everyone, and cache statistics stay deployment-global.
@@ -1385,6 +1389,32 @@ mod tests {
         assert_eq!(out.result.len(), 2);
         assert_eq!(out.stats.rows_scanned, 3);
         assert!(!out.stats.is_write);
+    }
+
+    /// An UPDATE of an indexed column must not reorder equality probes:
+    /// an `=` probe, an `IN` probe and an unindexed scan return the same
+    /// rows in scan order (fusion rewrites `=` probes into `IN` probes).
+    #[test]
+    fn probe_order_eq_matches_in_and_scan_after_indexed_update() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v TEXT)")
+            .unwrap();
+        db.execute("CREATE INDEX ON t (grp)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 1, 'a'), (2, 3, 'b'), (3, 5, 'c')")
+            .unwrap();
+        db.execute("UPDATE t SET grp = 3 WHERE id = 1").unwrap();
+        let mut ids = |sql: &str| {
+            let out = db.execute(sql).unwrap();
+            let ids: Vec<Value> = out.result.rows.iter().map(|r| r[0].clone()).collect();
+            (ids, out.stats.rows_scanned)
+        };
+        let eq = ids("SELECT id FROM t WHERE grp = 3");
+        let in_list = ids("SELECT id FROM t WHERE grp IN (3, 99)");
+        let scan = ids("SELECT id FROM t WHERE grp >= 3 AND grp <= 3");
+        assert_eq!(eq, (vec![Value::Int(1), Value::Int(2)], 2));
+        assert_eq!(in_list, eq);
+        assert_eq!(scan.0, eq.0);
+        assert_eq!(scan.1, 3, "the range predicate scans the table");
     }
 
     #[test]

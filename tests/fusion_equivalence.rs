@@ -365,3 +365,36 @@ fn write_heavy_batches_match_serial_reference() {
         }
     }
 }
+
+/// An UPDATE of an indexed column must not make fused and unfused
+/// batches disagree on row order: fusion answers the two `=` lookups
+/// below with one `IN` probe, which returns rows in scan order.
+#[test]
+fn probe_order_fused_matches_unfused_after_indexed_update() {
+    let run = |fusion: bool| {
+        let env = SimEnv::default_env();
+        env.set_fusion(fusion);
+        env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v TEXT)")
+            .unwrap();
+        env.seed_sql("CREATE INDEX ON t (grp)").unwrap();
+        env.seed_sql("INSERT INTO t VALUES (1, 1, 'a'), (2, 3, 'b')")
+            .unwrap();
+        env.query_batch(&["UPDATE t SET grp = 3 WHERE id = 1".to_string()])
+            .unwrap();
+        let batch = [
+            "SELECT id FROM t WHERE grp = 3".to_string(),
+            "SELECT id FROM t WHERE grp = 1".to_string(),
+        ];
+        let out = env.query_batch_outcome(&batch).unwrap();
+        (out.results, out.fused_queries)
+    };
+    let (fused, fused_queries) = run(true);
+    let (unfused, unfused_queries) = run(false);
+    assert_eq!((fused_queries, unfused_queries), (2, 0));
+    assert_eq!(fused, unfused);
+    assert_eq!(
+        fused[0].rows,
+        vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+        "scan order"
+    );
+}
